@@ -132,7 +132,16 @@ void append_json_number(std::string& out, double v) {
 }  // namespace
 
 bool JsonMetrics::write(const std::string& path) const {
-  std::string out = "{\n  \"name\": \"" + name_ + "\",\n  \"metrics\": {\n";
+  std::string out = "{\n  \"name\": \"" + name_ + "\",\n";
+  if (!host_.empty()) {
+    out += "  \"host\": {\n";
+    for (std::size_t i = 0; i < host_.size(); ++i) {
+      out += "    \"" + host_[i].first + "\": \"" + telemetry::json_escape(host_[i].second) + "\"";
+      out += i + 1 < host_.size() ? ",\n" : "\n";
+    }
+    out += "  },\n";
+  }
+  out += "  \"metrics\": {\n";
   for (std::size_t i = 0; i < metrics_.size(); ++i) {
     out += "    \"" + metrics_[i].first + "\": ";
     append_json_number(out, metrics_[i].second);

@@ -61,18 +61,24 @@ struct RunResult {
 [[nodiscard]] RunResult run_experiment_avg(ExperimentSpec spec, std::size_t replications = 3);
 
 /// Flat machine-readable metrics: an ordered key→value list serialised as
-///   {"name": "...", "metrics": {"key": value, ...}}
+///   {"name": "...", "host": {"key": "text", ...}, "metrics": {"key": value, ...}}
 /// This is the `BENCH_*.json` format tools/bench_report compares across
-/// builds; keep keys stable so baselines stay comparable.
+/// builds; keep keys stable so baselines stay comparable.  "host" is
+/// written only when add_host() was called, and bench_report ignores it.
 class JsonMetrics {
  public:
   explicit JsonMetrics(std::string name) : name_(std::move(name)) {}
   void add(std::string key, double value) { metrics_.emplace_back(std::move(key), value); }
+  /// Describe the machine or build a wall-clock metric was taken on.
+  void add_host(std::string key, std::string value) {
+    host_.emplace_back(std::move(key), std::move(value));
+  }
   /// Write to `path`; returns false (and prints a warning) on I/O failure.
   bool write(const std::string& path) const;
 
  private:
   std::string name_;
+  std::vector<std::pair<std::string, std::string>> host_;
   std::vector<std::pair<std::string, double>> metrics_;
 };
 

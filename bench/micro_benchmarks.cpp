@@ -1,13 +1,16 @@
 // M1: google-benchmark microbenchmarks for the building blocks on the
 // replication fast path: event queue, x-kernel message header handling,
-// RTPB wire encode/decode, UDP checksum, admission control, and the
-// preemptive CPU simulation itself.
+// RTPB wire encode/decode, the byte kernels every payload passes through
+// (UDP checksum, WAL CRC-32, payload synthesis), admission control, and
+// the preemptive CPU simulation itself.
 #include <benchmark/benchmark.h>
 
 #include "core/admission.hpp"
 #include "core/wire.hpp"
 #include "sched/cpu.hpp"
 #include "sim/simulator.hpp"
+#include "store/wal.hpp"
+#include "util/rng.hpp"
 #include "xkernel/message.hpp"
 #include "xkernel/udplite.hpp"
 
@@ -115,6 +118,43 @@ void BM_UdpChecksum(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_UdpChecksum)->Arg(64)->Arg(1500);
+
+void BM_UdpChecksumGather(benchmark::State& state) {
+  // The push path's two-segment sum: an odd-length header in front of the
+  // body shifts every body byte to the other half of its 16-bit word.
+  const Bytes header(27, 0x11);
+  const Bytes body(static_cast<std::size_t>(state.range(0)), 0x77);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(xkernel::UdpLite::checksum(header, body));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(header.size() + body.size()));
+}
+BENCHMARK(BM_UdpChecksumGather)->Arg(64)->Arg(1500);
+
+void BM_Crc32(benchmark::State& state) {
+  // The WAL frame checksum, paid on every append and again on replay.
+  Bytes data(static_cast<std::size_t>(state.range(0)));
+  Rng(3).fill(data);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store::crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1500)->Arg(8192);
+
+void BM_RngFill(benchmark::State& state) {
+  // Payload synthesis: the bytes each client write carries.
+  Rng rng(5);
+  Bytes value(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    rng.fill(value);
+    benchmark::DoNotOptimize(value.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_RngFill)->Arg(64)->Arg(1500)->Arg(8192);
 
 void BM_AdmissionAdmit(benchmark::State& state) {
   const auto n = static_cast<core::ObjectId>(state.range(0));

@@ -8,15 +8,19 @@
 //     event / frontier-record totals are pure functions of the seed.
 //     These are what tools/bench_report gates with --stable-only — they
 //     are bit-stable across machines, unlike wall-clock.
-//   * wall-clock scaling (wall_ms_t*, speedup_t4): informational on any
-//     machine, asserted >= 2x at 4 threads only when the host actually
-//     has >= 4 hardware threads (CI perf runners do; laptops may not).
+//   * wall-clock scaling (wall_ms_t*, speedup_t4): each is the median of
+//     5 timed runs after one warm-up run at that thread count, and the
+//     JSON's "host" object records the hardware threads, compiler and
+//     build type they were taken with.  Informational on any machine,
+//     asserted >= 2x at 4 threads only when the host actually has >= 4
+//     hardware threads (CI perf runners do; laptops may not).
 //
 // The digest oracle is the load-bearing check: a data race or a
 // non-deterministic barrier schedule in src/psim shows up here as a
 // digest mismatch long before it corrupts an experiment.
 //
 // Usage: parallel_scale [output.json]   (default BENCH_parallel.json)
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -32,6 +36,7 @@ using namespace rtpb;
 constexpr std::uint32_t kGroups = 64;
 constexpr int kObjectsPerGroup = 4;
 constexpr Duration kDuration = seconds(5);
+constexpr std::size_t kTimedRuns = 5;
 
 core::ObjectSpec light_spec(core::ObjectId id) {
   core::ObjectSpec spec;
@@ -103,20 +108,33 @@ int main(int argc, char** argv) {
   const std::size_t kThreadCounts[] = {1, 2, 4, 8};
   RunOutcome base;
   bool digests_match = true;
-  double wall_ms[4] = {};
-  for (std::size_t i = 0; i < 4; ++i) {
-    const RunOutcome r = run_at(kThreadCounts[i]);
-    wall_ms[i] = r.wall_ms;
-    if (i == 0) {
-      base = r;
-    } else if (r.digests != base.digests || r.events != base.events ||
-               r.frontier_published != base.frontier_published) {
+  const auto check = [&](const RunOutcome& r) {
+    if (r.digests != base.digests || r.events != base.events ||
+        r.frontier_published != base.frontier_published) {
       digests_match = false;
     }
-    std::printf("  threads %zu: %8.1f ms wall  %llu events  %llu windows  speedup %.2fx\n",
-                kThreadCounts[i], r.wall_ms, static_cast<unsigned long long>(r.events),
-                static_cast<unsigned long long>(r.windows),
-                r.wall_ms > 0 ? wall_ms[0] / r.wall_ms : 0.0);
+  };
+  double wall_ms[4] = {};
+  for (std::size_t i = 0; i < 4; ++i) {
+    // The warm-up run pays for first-touch page faults and cold caches;
+    // only the timed runs after it count.
+    const RunOutcome warm = run_at(kThreadCounts[i]);
+    if (i == 0) base = warm;
+    check(warm);
+    std::vector<double> walls;
+    for (std::size_t run = 0; run < kTimedRuns; ++run) {
+      const RunOutcome r = run_at(kThreadCounts[i]);
+      check(r);
+      walls.push_back(r.wall_ms);
+    }
+    std::sort(walls.begin(), walls.end());
+    wall_ms[i] = walls[kTimedRuns / 2];
+    std::printf("  threads %zu: %8.1f ms wall (median of %zu, range %.1f-%.1f)  %llu events  "
+                "%llu windows  speedup %.2fx\n",
+                kThreadCounts[i], wall_ms[i], kTimedRuns, walls.front(), walls.back(),
+                static_cast<unsigned long long>(warm.events),
+                static_cast<unsigned long long>(warm.windows),
+                wall_ms[i] > 0 ? wall_ms[0] / wall_ms[i] : 0.0);
   }
 
   if (!digests_match) {
@@ -139,6 +157,15 @@ int main(int argc, char** argv) {
   }
 
   bench::JsonMetrics out("parallel");
+  out.add_host("hardware_threads", std::to_string(hw));
+#if defined(__clang__)
+  out.add_host("compiler", "clang " __clang_version__);
+#elif defined(__GNUC__)
+  out.add_host("compiler", "gcc " __VERSION__);
+#endif
+  out.add_host("build_type", RTPB_BUILD_TYPE);
+  out.add_host("wall_ms", "median of " + std::to_string(kTimedRuns) +
+                             " timed runs after 1 warm-up, per thread count");
   out.add("groups_deterministic", static_cast<double>(kGroups));
   out.add("windows_deterministic", static_cast<double>(base.windows));
   out.add("events_total_deterministic", static_cast<double>(base.events));

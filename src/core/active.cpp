@@ -58,7 +58,7 @@ void ActiveReplicationService::add_object(const ObjectSpec& spec) {
   client_tasks_.push_back(
       leader_cpu_.add_task(task, [this, captured](const sched::JobInfo& info) {
         Bytes value(captured.size_bytes);
-        for (auto& b : value) b = static_cast<std::uint8_t>(value_rng_.uniform(0, 255));
+        value_rng_.fill(value);
         leader_write(captured.id, std::move(value), info);
       }));
 }

@@ -35,7 +35,7 @@ void ClientApp::start_sensing(const ObjectSpec& spec) {
 
 Bytes ClientApp::sense_value(const ObjectSpec& spec) {
   Bytes value(spec.size_bytes);
-  for (auto& b : value) b = static_cast<std::uint8_t>(rng_.uniform(0, 255));
+  rng_.fill(value);
   return value;
 }
 

@@ -40,20 +40,41 @@ core::ObjectSpec get_spec(ByteReader& r) {
 constexpr std::size_t kMinSpec = 4 + 4 + 4 + 5 * 8;          // empty name
 constexpr std::size_t kMinState = kMinSpec + 4 + 8 + 8 + 8;  // empty value
 
+// Slicing-by-8 tables for the reflected IEEE CRC-32 (poly 0xEDB88320):
+// t[0] is the bytewise table, and t[k][i] is the CRC of byte i followed
+// by k zero bytes, so one step folds 8 input bytes.  Built at compile time.
+constexpr auto kCrcTables = [] {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}();
+
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
+  const auto& t = kCrcTables;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::uint8_t b : data) crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ (std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
+                                    (std::uint32_t{p[2]} << 16) | (std::uint32_t{p[3]} << 24));
+    const std::uint32_t hi = std::uint32_t{p[4]} | (std::uint32_t{p[5]} << 8) |
+                             (std::uint32_t{p[6]} << 16) | (std::uint32_t{p[7]} << 24);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+          t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 

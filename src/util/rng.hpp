@@ -8,7 +8,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "util/assert.hpp"
 
@@ -56,6 +58,24 @@ class Rng {
     state_[2] ^= t;
     state_[3] = rotl(state_[3], 45);
     return result;
+  }
+
+  /// Fill `out` with uniform bytes, one next_u64() per 8 bytes.  Each word
+  /// is stored little-endian by shifts, so the bytes do not depend on the
+  /// host; a partial last word uses its low-order bytes.
+  void fill(std::span<std::uint8_t> out) {
+    std::size_t i = 0;
+    for (; i + 8 <= out.size(); i += 8) {
+      const std::uint64_t x = next_u64();
+      // Unrolled, the eight byte stores merge into one word store.
+#pragma GCC unroll 8
+      for (std::size_t k = 0; k < 8; ++k) out[i + k] = static_cast<std::uint8_t>(x >> (8 * k));
+    }
+    if (i < out.size()) {
+      for (std::uint64_t x = next_u64(); i < out.size(); ++i, x >>= 8) {
+        out[i] = static_cast<std::uint8_t>(x);
+      }
+    }
   }
 
   /// Uniform in [0, 1).

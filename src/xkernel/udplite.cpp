@@ -13,6 +13,29 @@ void UdpLite::bind(net::Port port, Handler handler) {
 
 void UdpLite::unbind(net::Port port) { bindings_.erase(port); }
 
+namespace {
+
+// Ones'-complement sum of `data` read as big-endian 16-bit words (an odd
+// last byte is the high half of a zero-padded word), folded to 16 bits.
+// Big-endian 32-bit words are summed instead, since 2^16 = 1 (mod 0xFFFF),
+// and the one fold at the end keeps what a fold per word gives: 0 only for
+// an all-zero input, else the same residue in [1, 0xFFFF].
+std::uint32_t folded_sum(std::span<const std::uint8_t> data) {
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  std::uint64_t sum = 0;
+  for (; n >= 4; p += 4, n -= 4) {
+    sum += (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+           (std::uint32_t{p[2]} << 8) | p[3];
+  }
+  if (n >= 2) sum += (std::uint32_t{p[0]} << 8) | p[1];
+  if (n % 2 != 0) sum += std::uint32_t{p[n - 1]} << 8;
+  while (sum >> 16 != 0) sum = (sum & 0xFFFF) + (sum >> 16);
+  return static_cast<std::uint32_t>(sum);
+}
+
+}  // namespace
+
 std::uint16_t UdpLite::checksum(std::span<const std::uint8_t> data) {
   return checksum(data, {});
 }
@@ -20,16 +43,13 @@ std::uint16_t UdpLite::checksum(std::span<const std::uint8_t> data) {
 std::uint16_t UdpLite::checksum(std::span<const std::uint8_t> a,
                                 std::span<const std::uint8_t> b) {
   // Ones'-complement sum over the virtual concatenation a‖b, identical
-  // byte-for-byte to summing a gathered copy.
-  std::uint32_t sum = 0;
-  const std::size_t total = a.size() + b.size();
-  const auto at = [&](std::size_t i) { return i < a.size() ? a[i] : b[i - a.size()]; };
-  for (std::size_t i = 0; i < total; i += 2) {
-    std::uint16_t word = static_cast<std::uint16_t>(at(i) << 8);
-    if (i + 1 < total) word = static_cast<std::uint16_t>(word | at(i + 1));
-    sum += word;
-    sum = (sum & 0xFFFF) + (sum >> 16);
-  }
+  // bit-for-bit to summing a gathered copy.  An odd-length `a` moves each
+  // byte of `b` to the other half of its word; the sum is byte-order
+  // independent (RFC 1071 §2), so that is `b`'s sum byte-swapped.
+  std::uint32_t sum_b = folded_sum(b);
+  if (a.size() % 2 != 0) sum_b = ((sum_b & 0xFF) << 8) | (sum_b >> 8);
+  std::uint32_t sum = folded_sum(a) + sum_b;
+  sum = (sum & 0xFFFF) + (sum >> 16);
   return static_cast<std::uint16_t>(~sum & 0xFFFF);
 }
 

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 
 #include "store/device.hpp"
 #include "store/wal.hpp"
+#include "util/rng.hpp"
 
 namespace rtpb::store {
 namespace {
@@ -36,6 +38,30 @@ TEST(Crc32, KnownVector) {
 }
 
 TEST(Crc32, EmptyIsZero) { EXPECT_EQ(crc32({}), 0u); }
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Slicing-by-8 must equal the bytewise definition for every tail length
+  // and every start offset.  The reference runs incrementally: its state
+  // after byte i is the CRC of the first i+1 bytes.
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  Bytes buf(4096 + 8);
+  Rng(0xC3C).fill(buf);
+  const std::span<const std::uint8_t> all(buf);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    std::uint32_t ref = 0xFFFFFFFFu;
+    EXPECT_EQ(crc32(all.subspan(offset, 0)), 0u);
+    for (std::size_t len = 1; len <= 4096; ++len) {
+      ref = table[(ref ^ buf[offset + len - 1]) & 0xFFu] ^ (ref >> 8);
+      ASSERT_EQ(crc32(all.subspan(offset, len)), ref ^ 0xFFFFFFFFu)
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+}
 
 TEST(WalCodec, InsertRoundTrip) {
   const core::ObjectSpec spec = make_spec(7);
@@ -297,7 +323,9 @@ TEST(DurableStore, CrashPointSweepNeverLosesDurablePrefix) {
     if (!rec.states.empty()) version = rec.states[0].version;
     EXPECT_GE(version, prev_version) << "recovery went backwards at cut " << cut;
     prev_version = version;
-    if (cut < full.size()) EXPECT_FALSE(rec.wal_torn && rec.states.empty() && cut == 0);
+    if (cut < full.size()) {
+      EXPECT_FALSE(rec.wal_torn && rec.states.empty() && cut == 0);
+    }
     if (!rec.states.empty() && version > 0) {
       // The recovered value matches the recovered version exactly.
       EXPECT_EQ(rec.states[0].value, value_of(static_cast<std::uint8_t>(version)));

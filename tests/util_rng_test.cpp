@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
+
+#include "util/bytebuffer.hpp"
 
 namespace rtpb {
 namespace {
@@ -82,6 +85,37 @@ TEST(Rng, MeanOfUniformReal) {
   const int n = 100'000;
   for (int i = 0; i < n; ++i) sum += r.uniform_real(10.0, 20.0);
   EXPECT_NEAR(sum / n, 15.0, 0.1);
+}
+
+TEST(Rng, FillWritesLittleEndianWordsAndExactlyNBytes) {
+  // Byte i is byte i % 8 (least significant first) of draw i / 8 of a
+  // twin generator with the same seed, and a guard byte just past the
+  // span is never touched.
+  std::vector<std::size_t> lengths(18);
+  for (std::size_t n = 0; n < lengths.size(); ++n) lengths[n] = n;
+  lengths.push_back(8192);
+  for (const std::size_t n : lengths) {
+    Rng r(31), twin(31);
+    Bytes buf(n + 1, 0xA5);
+    r.fill(std::span<std::uint8_t>(buf.data(), n));
+    EXPECT_EQ(buf[n], 0xA5) << "n=" << n;
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i % 8 == 0) word = twin.next_u64();
+      ASSERT_EQ(buf[i], static_cast<std::uint8_t>(word >> (8 * (i % 8))))
+          << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(Rng, FillAdvancesOneDrawPerEightBytes) {
+  for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 16u, 17u, 8192u}) {
+    Rng r(37), twin(37);
+    Bytes buf(n);
+    r.fill(buf);
+    for (std::size_t d = 0; d < (n + 7) / 8; ++d) twin.next_u64();
+    EXPECT_EQ(r.next_u64(), twin.next_u64()) << "n=" << n;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "util/rng.hpp"
 #include "xkernel/graph.hpp"
 #include "xkernel/message.hpp"
 #include "xkernel/udplite.hpp"
@@ -146,6 +147,70 @@ TEST(UdpChecksum, TwoSegmentGatherMatchesFlat) {
     EXPECT_EQ(UdpLite::checksum(all.subspan(0, split), all.subspan(split)), flat)
         << "split=" << split;
   }
+}
+
+// The bytewise definition the word-wide kernel must reproduce bit for bit:
+// big-endian 16-bit words over the gathered a‖b, folded after every word.
+std::uint16_t reference_checksum(std::span<const std::uint8_t> a,
+                                 std::span<const std::uint8_t> b) {
+  Bytes all(a.begin(), a.end());
+  all.insert(all.end(), b.begin(), b.end());
+  std::uint32_t sum = 0;
+  for (std::size_t i = 0; i < all.size(); i += 2) {
+    std::uint32_t word = std::uint32_t{all[i]} << 8;
+    if (i + 1 < all.size()) word |= all[i + 1];
+    sum += word;
+    sum = (sum & 0xFFFF) + (sum >> 16);
+  }
+  return static_cast<std::uint16_t>(~sum & 0xFFFF);
+}
+
+TEST(UdpChecksum, MatchesBytewiseReferenceOnOddEvenAndEmptySegments) {
+  Rng rng(0x5EED);
+  const std::size_t sizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1499, 1500, 4500};
+  for (const std::size_t a_len : sizes) {
+    for (const std::size_t b_len : sizes) {
+      Bytes a(a_len), b(b_len);
+      rng.fill(a);
+      rng.fill(b);
+      EXPECT_EQ(UdpLite::checksum(a, b), reference_checksum(a, b))
+          << "a=" << a_len << " b=" << b_len;
+    }
+  }
+}
+
+TEST(UdpChecksum, MatchesBytewiseReferenceOnRandomSplits) {
+  Rng rng(0xC4EC);
+  for (int trial = 0; trial < 300; ++trial) {
+    Bytes data(static_cast<std::size_t>(rng.uniform(0, 9000)));
+    rng.fill(data);
+    const std::span<const std::uint8_t> all(data);
+    const auto split =
+        static_cast<std::size_t>(rng.uniform(0, static_cast<std::int64_t>(data.size())));
+    const auto a = all.subspan(0, split);
+    const auto b = all.subspan(split);
+    EXPECT_EQ(UdpLite::checksum(a, b), reference_checksum(a, b))
+        << "size=" << data.size() << " split=" << split;
+    EXPECT_EQ(UdpLite::checksum(all), reference_checksum(all, {})) << "size=" << data.size();
+  }
+}
+
+TEST(UdpChecksum, AllZeroAndAllOnesMatchBytewiseReference) {
+  // 0x0000 and 0xFFFF are congruent mod 0xFFFF: an all-zero input must
+  // still checksum to 0xFFFF, and an all-ones input to 0x0000.
+  for (const std::uint8_t fill : {std::uint8_t{0x00}, std::uint8_t{0xFF}}) {
+    for (const std::size_t size : {0u, 1u, 2u, 3u, 4u, 5u, 8u, 9u, 1500u, 1501u, 9000u}) {
+      const Bytes data(size, fill);
+      const std::span<const std::uint8_t> all(data);
+      for (const std::size_t split : {std::size_t{0}, size / 2, size / 2 + size % 2, size}) {
+        EXPECT_EQ(UdpLite::checksum(all.subspan(0, split), all.subspan(split)),
+                  reference_checksum(all.subspan(0, split), all.subspan(split)))
+            << "fill=" << int{fill} << " size=" << size << " split=" << split;
+      }
+    }
+  }
+  EXPECT_EQ(UdpLite::checksum(Bytes(64, 0x00)), 0xFFFF);
+  EXPECT_EQ(UdpLite::checksum(Bytes(64, 0xFF)), 0x0000);
 }
 
 TEST(GraphSpec, Parsing) {
